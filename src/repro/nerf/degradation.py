@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.scenes.primitives import _norm3
+
 #: Geometry noise amplitude as a fraction of the detail scale.
 GEOMETRY_NOISE_FACTOR = 0.45
 #: Floater probability grows linearly with (detail scale / extent) above the
@@ -201,7 +203,7 @@ class DegradedField:
         )
         centers = (cells + 0.2 + 0.6 * offsets) * spacing
         radii = self.floater_radius * (0.5 + _hash01(cells, salt=5.0 + self.seed))
-        distance = np.linalg.norm(points - centers, axis=1) - radii
+        distance = _norm3(points - centers) - radii
         # Cells without a floater contribute a large positive distance.
         return np.where(exists, distance, np.full_like(distance, 10.0 * self.extent))
 

@@ -458,8 +458,7 @@ class RenderEngine:
         object_ids = np.full(num_rays, -1, dtype=int)
         if hit.any():
             hit_points = origins[hit] + t_values[hit, None] * directions[hit]
-            _, ids = scene.classify(hit_points)
-            albedo = scene.albedo(hit_points)
+            ids, albedo = scene.classify_albedo(hit_points)
             if shading:
                 normals = estimate_normals(scene, hit_points, epsilon=1e-3)
                 colors = shade_lambertian(albedo, normals)

@@ -88,6 +88,13 @@ def march_occupancy(
     # sample ladder is identical to evaluating all ``num_steps`` samples at
     # once, so the result is bit-identical to a full-span evaluation — it
     # just skips the samples behind a hit.
+    #
+    # Sample coordinates, voxel indices and the in-grid mask are computed one
+    # axis at a time on ``(M, S)`` arrays, and occupancy is read through one
+    # flat index into the raveled grid: numpy reductions over a length-3
+    # axis and 3-array fancy indexing cost far more than the element-wise
+    # work (DESIGN.md "No reductions over a length-3 axis").
+    occupancy_flat = occupancy.reshape(-1)
     hit_rows_parts = []
     hit_voxels_parts = []
     active = np.arange(num_rays)
@@ -97,22 +104,27 @@ def march_occupancy(
         ks = np.arange(slab_start, min(slab_start + slab_steps, num_steps))
         t_samples = t_near[active, None] + (ks[None, :] + 0.5) * step
         valid = t_samples <= t_far[active, None]
-        points = (
-            origins[active, None, :]
-            + t_samples[..., None] * directions[active, None, :]
-        )
-        indices = np.floor((points - grid_lo) / voxel).astype(int)
-        inside = np.all((indices >= 0) & (indices < g), axis=-1)
-        clipped = np.clip(indices, 0, g - 1)
-        occupied = occupancy[clipped[..., 0], clipped[..., 1], clipped[..., 2]]
-        occupied = occupied & inside & valid
+        inside = valid.copy()
+        clipped = []
+        for axis in range(3):
+            coords = (
+                origins[active, axis, None]
+                + t_samples * directions[active, axis, None]
+            )
+            indices = np.floor((coords - grid_lo[axis]) / voxel).astype(int)
+            inside &= (indices >= 0) & (indices < g)
+            clipped.append(np.clip(indices, 0, g - 1, out=indices))
+        flat = (clipped[0] * g + clipped[1]) * g + clipped[2]
+        occupied = occupancy_flat[flat] & inside
 
         any_hit = occupied.any(axis=1)
         if any_hit.any():
             local_rows = np.flatnonzero(any_hit)
             first = occupied[local_rows].argmax(axis=1)
             hit_rows_parts.append(active[local_rows])
-            hit_voxels_parts.append(clipped[local_rows, first])
+            hit_voxels_parts.append(
+                np.stack([axis_index[local_rows, first] for axis_index in clipped], axis=1)
+            )
         # Rays whose remaining samples are all beyond t_far are done.
         finished = any_hit | ~valid[:, -1]
         active = active[~finished]

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.scenes.primitives import _norm3
+
 
 @dataclass
 class Camera:
@@ -102,7 +104,7 @@ def camera_rays(camera: Camera) -> tuple:
         [grid_x / focal, grid_y / focal, np.ones_like(grid_x)], axis=-1
     ).reshape(-1, 3)
     directions = directions_cam @ camera.rotation.T
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    directions /= _norm3(directions)[:, None]
     origins = np.broadcast_to(camera.position, directions.shape).copy()
     return origins, directions
 

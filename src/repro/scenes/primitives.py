@@ -20,11 +20,29 @@ def _as_points(points: np.ndarray) -> np.ndarray:
     return points
 
 
+def _norm3(v: np.ndarray) -> np.ndarray:
+    """Row norms of an ``(N, 3)`` array, computed column-wise.
+
+    ``sqrt(x*x + y*y + z*z)`` performs the same IEEE operations in the same
+    order as ``np.linalg.norm(v, axis=1)`` (which squares, then
+    ``add.reduce``s the three columns left to right), so the result is
+    bit-identical, but it never reduces along a length-3 axis, which numpy
+    runs one tiny inner loop per row.
+    """
+    x, y, z = v[:, 0], v[:, 1], v[:, 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _max3(v: np.ndarray) -> np.ndarray:
+    """Row maxima of an ``(N, 3)`` array; bit-identical to ``np.max(v, axis=1)``."""
+    return np.maximum(np.maximum(v[:, 0], v[:, 1]), v[:, 2])
+
+
 def sdf_sphere(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Signed distance to a sphere."""
     points = _as_points(points)
     center = np.asarray(center, dtype=np.float64)
-    return np.linalg.norm(points - center, axis=1) - float(radius)
+    return _norm3(points - center) - float(radius)
 
 
 def sdf_box(points: np.ndarray, center: np.ndarray, half_extents: np.ndarray) -> np.ndarray:
@@ -33,8 +51,8 @@ def sdf_box(points: np.ndarray, center: np.ndarray, half_extents: np.ndarray) ->
     center = np.asarray(center, dtype=np.float64)
     half = np.asarray(half_extents, dtype=np.float64)
     q = np.abs(points - center) - half
-    outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-    inside = np.minimum(np.max(q, axis=1), 0.0)
+    outside = _norm3(np.maximum(q, 0.0))
+    inside = np.minimum(_max3(q), 0.0)
     return outside + inside
 
 
@@ -64,9 +82,10 @@ def sdf_cylinder(
     points = _as_points(points) - np.asarray(center, dtype=np.float64)
     radial = np.sqrt(points[:, 0] ** 2 + points[:, 2] ** 2) - float(radius)
     axial = np.abs(points[:, 1]) - float(half_height)
-    q = np.stack([radial, axial], axis=1)
-    outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-    inside = np.minimum(np.max(q, axis=1), 0.0)
+    r0 = np.maximum(radial, 0.0)
+    a0 = np.maximum(axial, 0.0)
+    outside = np.sqrt(r0 * r0 + a0 * a0)
+    inside = np.minimum(np.maximum(radial, axial), 0.0)
     return outside + inside
 
 
@@ -81,9 +100,9 @@ def sdf_capsule(
     ba = b - a
     denom = float(ba @ ba)
     if denom == 0.0:
-        return np.linalg.norm(pa, axis=1) - float(radius)
+        return _norm3(pa) - float(radius)
     h = np.clip((pa @ ba) / denom, 0.0, 1.0)
-    return np.linalg.norm(pa - h[:, None] * ba, axis=1) - float(radius)
+    return _norm3(pa - h[:, None] * ba) - float(radius)
 
 
 def sdf_union(*distances: np.ndarray) -> np.ndarray:

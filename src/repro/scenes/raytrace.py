@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.scenes.cameras import Camera
+from repro.scenes.primitives import _norm3
 from repro.scenes.scene import Scene
 
 #: Default directional light used for Lambertian shading.
@@ -61,9 +62,9 @@ def estimate_normals(field, points: np.ndarray, epsilon: float = 1e-3) -> np.nda
         offset = np.zeros(3)
         offset[axis] = epsilon
         normals[:, axis] = field.sdf(points + offset) - field.sdf(points - offset)
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    norms = _norm3(normals)
     norms[norms == 0] = 1.0
-    return normals / norms
+    return normals / norms[:, None]
 
 
 def field_radiance(field, points: np.ndarray, normal_epsilon: float = 1e-3) -> np.ndarray:

@@ -118,8 +118,17 @@ class Scene:
 
     def albedo(self, points: np.ndarray) -> np.ndarray:
         """Colour of the closest object at each point."""
+        _, owner = self._nearest(points)
+        return self._owner_albedo(points, owner)
+
+    def _nearest(self, points: np.ndarray) -> tuple:
+        """``(distance, owner)``: the nearest object's distance and its index
+        in ``placed``, from one SDF pass over every object."""
         distances = np.stack([placed.sdf(points) for placed in self.placed], axis=0)
-        owner = distances.argmin(axis=0)
+        return distances.min(axis=0), distances.argmin(axis=0)
+
+    def _owner_albedo(self, points: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Colour of each point taken from the object ``owner`` indexes."""
         colors = np.zeros((points.shape[0], 3))
         for index, placed in enumerate(self.placed):
             mask = owner == index
@@ -139,10 +148,14 @@ class Scene:
 
     def classify(self, points: np.ndarray) -> tuple:
         """Return ``(distance, instance_id)`` of the nearest object per point."""
-        distances = np.stack([placed.sdf(points) for placed in self.placed], axis=0)
-        owner_index = distances.argmin(axis=0)
-        ids = np.array([placed.instance_id for placed in self.placed])
-        return distances.min(axis=0), ids[owner_index]
+        distance, owner = self._nearest(points)
+        return distance, np.array(self.instance_ids)[owner]
+
+    def classify_albedo(self, points: np.ndarray) -> tuple:
+        """Return ``(instance_id, albedo)`` per point from one nearest-object
+        pass; the same values as ``classify(points)[1]`` and ``albedo(points)``."""
+        _, owner = self._nearest(points)
+        return np.array(self.instance_ids)[owner], self._owner_albedo(points, owner)
 
     @property
     def instance_ids(self) -> list:

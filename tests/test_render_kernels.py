@@ -186,6 +186,33 @@ class TestRegistry:
             assert numpy_ref.TANGENT_V[axis] == _TANGENT_AXES[axis][1]
 
 
+def synthetic_march_case(occupancy, grid_lo, voxel, step, slab_steps=32):
+    """Marching inputs over a hand-made grid whose occupied voxels carry all
+    six faces, so face ``f`` belongs to voxel ``occupied[f // 6]``."""
+    g = occupancy.shape[0]
+    occupied = np.argwhere(occupancy).astype(np.int64)
+    voxel_key = (occupied[:, 0] * g + occupied[:, 1]) * g + occupied[:, 2]
+    face_key = (voxel_key[:, None] * 6 + np.arange(6)).reshape(-1)
+    order = np.argsort(face_key, kind="stable").astype(np.int64)
+    return {
+        "grid_lo": np.asarray(grid_lo, dtype=np.float64),
+        "voxel": float(voxel),
+        "step": float(step),
+        "resolution": g,
+        "occupancy": occupancy,
+        "face_keys": face_key[order],
+        "face_order": order,
+        "voxel_keys": np.repeat(voxel_key, 6)[order],
+        "slab_steps": slab_steps,
+    }, occupied
+
+
+def hit_voxels(result, occupied):
+    """``{row: voxel}`` of a march result over a :func:`synthetic_march_case`."""
+    rows, faces = result[0], result[1]
+    return {int(row): tuple(occupied[face // 6].tolist()) for row, face in zip(rows, faces)}
+
+
 @pytest.mark.parametrize("backend", CANDIDATE_BACKENDS)
 class TestExactTierParity:
     """Bit-identical kernels: march_occupancy, gather_ray_points, sphere_advance."""
@@ -249,6 +276,138 @@ class TestExactTierParity:
         assert reference[0].size > 0
         for ref, cand in zip(reference, candidate):
             assert_exact(ref, cand)
+
+    def test_march_leaves_grid_on_one_axis(self, backend):
+        """Samples outside the grid on exactly one axis never hit.
+
+        Each outer layer of the grid is fully occupied.  Rays run parallel to
+        a layer but one voxel outside it, so every sample's index is out of
+        range on that one axis (clipping would land it in the occupied layer)
+        while the other two stay in range.  Control rays inside the grid hit
+        the layer they start in.
+        """
+        g = 6
+        occupancy = np.zeros((g, g, g), dtype=bool)
+        for axis in range(3):
+            for layer in (0, g - 1):
+                index = [slice(None)] * 3
+                index[axis] = layer
+                occupancy[tuple(index)] = True
+        case, occupied = synthetic_march_case(occupancy, (0.0, 0.0, 0.0), 1.0, 0.25)
+        origins, directions, expect_hit = [], [], []
+        for axis in range(3):
+            run = (axis + 1) % 3
+            for outside, inside_layer in ((-0.5, 0.5), (g + 0.5, g - 0.5)):
+                for offset in (1.5, 2.5, 3.5):
+                    for coordinate, hits in ((outside, False), (inside_layer, True)):
+                        start = np.full(3, offset)
+                        start[axis] = coordinate
+                        start[run] = 0.5
+                        origins.append(start)
+                        direction = np.zeros(3)
+                        direction[run] = 1.0
+                        directions.append(direction)
+                        expect_hit.append(hits)
+        origins = np.array(origins)
+        case.update(
+            origins=origins,
+            directions=np.array(directions),
+            t_near=np.zeros(len(origins)),
+            t_far=np.full(len(origins), g - 1.0),
+        )
+        reference = march_with(get_kernels("numpy"), case)
+        candidate = march_with(get_kernels(backend), case)
+        for ref, cand in zip(reference, candidate):
+            assert_exact(ref, cand)
+        assert reference[0].tolist() == np.flatnonzero(expect_hit).tolist()
+        for row, voxel in hit_voxels(reference, occupied).items():
+            assert voxel == tuple(np.floor(origins[row]).astype(int).tolist())
+
+    @pytest.mark.parametrize("layout", ["C", "F", "view"])
+    def test_march_axis_asymmetric_occupancy(self, backend, layout):
+        """Occupancy that changes under any axis swap pins the index order.
+
+        Single voxels sit at positions whose axis permutations are empty,
+        and rays along each axis pass through every row of the grid, so a
+        transposed flat index would report a different voxel or none.  The
+        grid is also given in Fortran order and as a non-contiguous view.
+        """
+        g = 5
+        base = np.zeros((g, g, g), dtype=bool)
+        for voxel in ((0, 1, 3), (4, 2, 0), (1, 3, 4), (2, 0, 1)):
+            base[voxel] = True
+        occupancy = {
+            "C": base,
+            "F": np.asfortranarray(base),
+            "view": np.ascontiguousarray(base.transpose(2, 0, 1)).transpose(1, 2, 0),
+        }[layout]
+        assert np.array_equal(occupancy, base)
+        case, occupied = synthetic_march_case(occupancy, (-1.0, 0.5, 2.0), 0.4, 0.1)
+        origins, directions, expected = [], [], {}
+        for axis in range(3):
+            others = [other for other in range(3) if other != axis]
+            for i in range(g):
+                for j in range(g):
+                    index = [0, 0, 0]
+                    index[others[0]], index[others[1]] = i, j
+                    column = [tuple(index[:axis] + [k] + index[axis + 1:]) for k in range(g)]
+                    occupied_in_column = [voxel for voxel in column if base[voxel]]
+                    if occupied_in_column:
+                        expected[len(origins)] = occupied_in_column[0]
+                    start = case["grid_lo"] + (np.array(index) + 0.5) * case["voxel"]
+                    start[axis] = case["grid_lo"][axis] - 0.3
+                    origins.append(start)
+                    direction = np.zeros(3)
+                    direction[axis] = 1.0
+                    directions.append(direction)
+        case.update(
+            origins=np.array(origins),
+            directions=np.array(directions),
+            t_near=np.full(len(origins), 0.3),
+            t_far=np.full(len(origins), 0.3 + g * case["voxel"]),
+        )
+        reference = march_with(get_kernels("numpy"), case)
+        candidate = march_with(get_kernels(backend), case)
+        for ref, cand in zip(reference, candidate):
+            assert_exact(ref, cand)
+        assert hit_voxels(reference, occupied) == expected
+
+    @pytest.mark.parametrize("span_steps", [31, 32, 33])
+    def test_march_spans_around_slab_boundary(self, backend, span_steps):
+        """Ray spans of 31, 32 and 33 samples against the 32-sample slab.
+
+        Along +x with ``step = voxel / 2``, sample ``k`` lies in voxel
+        ``k // 2``.  The rows' first occupied voxel is 15, 16 or 17 (first
+        samples 30, 32, 34), and ``t_far`` lands exactly on the last valid
+        sample, so hits fall on either side of the slab edge and of the span
+        end.
+        """
+        g = 20
+        voxel, step = 1.0, 0.5
+        occupancy = np.zeros((g, g, g), dtype=bool)
+        first_voxel = {}
+        for row, x_index in enumerate((15, 16, 17)):
+            occupancy[x_index, row + 2, 5] = True
+            occupancy[x_index + 1, row + 2, 5] = True
+            first_voxel[row] = x_index
+        case, occupied = synthetic_march_case(occupancy, (0.0, 0.0, 0.0), voxel, step)
+        origins = np.array([[0.0, row + 2.5, 5.5] for row in range(3)])
+        directions = np.tile([1.0, 0.0, 0.0], (3, 1))
+        # Samples 0 .. span_steps - 1 are valid; the last one sits exactly on t_far.
+        t_far = np.full(3, (span_steps - 1 + 0.5) * step)
+        case.update(
+            origins=origins, directions=directions, t_near=np.zeros(3), t_far=t_far
+        )
+        reference = march_with(get_kernels("numpy"), case)
+        candidate = march_with(get_kernels(backend), case)
+        for ref, cand in zip(reference, candidate):
+            assert_exact(ref, cand)
+        expected = {
+            row: (x_index, row + 2, 5)
+            for row, x_index in first_voxel.items()
+            if 2 * x_index < span_steps
+        }
+        assert hit_voxels(reference, occupied) == expected
 
     def test_march_no_hits_returns_empty(self, backend):
         occupancy = np.zeros((3, 3, 3), dtype=bool)

@@ -101,6 +101,161 @@ class TestPrimitives:
         assert np.allclose(dist, radius - 0.7)
 
 
+# -- reduction-based reference formulas ----------------------------------------
+#
+# The primitives compute row norms and maxima column-wise
+# (``sqrt(x*x + y*y + z*z)``, ``maximum(maximum(x, y), z)``).  These are the
+# formulas they replaced, written with numpy's reductions over the length-3
+# axis; the differential tests below pin the rewrite to them bit for bit.
+
+
+def _reference_sphere(points, center, radius):
+    return np.linalg.norm(points - np.asarray(center), axis=1) - float(radius)
+
+
+def _reference_box(points, center, half_extents):
+    q = np.abs(points - np.asarray(center)) - np.asarray(half_extents)
+    outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
+    inside = np.minimum(np.max(q, axis=1), 0.0)
+    return outside + inside
+
+
+def _reference_rounded_box(points, center, half_extents, radius):
+    shrunk = np.asarray(half_extents) - float(radius)
+    return _reference_box(points, center, shrunk) - float(radius)
+
+
+def _reference_cylinder(points, center, radius, half_height):
+    points = points - np.asarray(center)
+    radial = np.sqrt(points[:, 0] ** 2 + points[:, 2] ** 2) - float(radius)
+    axial = np.abs(points[:, 1]) - float(half_height)
+    q = np.stack([radial, axial], axis=1)
+    outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
+    inside = np.minimum(np.max(q, axis=1), 0.0)
+    return outside + inside
+
+
+def _reference_capsule(points, endpoint_a, endpoint_b, radius):
+    a = np.asarray(endpoint_a, dtype=np.float64)
+    b = np.asarray(endpoint_b, dtype=np.float64)
+    pa = points - a
+    ba = b - a
+    denom = float(ba @ ba)
+    if denom == 0.0:
+        return np.linalg.norm(pa, axis=1) - float(radius)
+    h = np.clip((pa @ ba) / denom, 0.0, 1.0)
+    return np.linalg.norm(pa - h[:, None] * ba, axis=1) - float(radius)
+
+
+_BOX = ((0.1, -0.2, 0.3), (0.5, 0.25, 0.75))
+_CYLINDER = ((0.1, -0.2, 0.3), 0.4, 0.6)
+_CAPSULE = ((-0.3, 0.1, 0.2), (0.4, -0.5, 0.25), 0.15)
+
+#: ``(primitive, reference, args)`` for every column-wise primitive.
+_DIFFERENTIAL_CASES = [
+    ("sphere", prim.sdf_sphere, _reference_sphere, ((0.1, -0.2, 0.3), 0.7)),
+    ("box", prim.sdf_box, _reference_box, _BOX),
+    ("rounded_box", prim.sdf_rounded_box, _reference_rounded_box, _BOX + (0.1,)),
+    ("cylinder", prim.sdf_cylinder, _reference_cylinder, _CYLINDER),
+    ("capsule", prim.sdf_capsule, _reference_capsule, _CAPSULE),
+    ("capsule_degenerate", prim.sdf_capsule, _reference_capsule,
+     ((0.2, 0.2, 0.2), (0.2, 0.2, 0.2), 0.3)),
+]
+
+#: Coordinates that stress IEEE edge cases: signed zeros, infinities, NaN,
+#: squares that underflow or overflow, subnormals and plain values.
+_SPECIAL_COORDS = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -0.5,
+    1e150, -1e150, 1e155, 1e-150, -1e-155, 5e-324,
+]
+
+
+def _adversarial_points() -> np.ndarray:
+    """Every triple of special coordinates, plus points exactly on the faces,
+    edges and corners of the test box and on the cylinder's and capsule's
+    surfaces, axes and end points."""
+    special = np.array(np.meshgrid(_SPECIAL_COORDS, _SPECIAL_COORDS,
+                                   _SPECIAL_COORDS, indexing="ij")).reshape(3, -1).T
+    center, half = (np.asarray(v) for v in _BOX)
+    signs = np.array(np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0],
+                                 [-1.0, 0.0, 1.0], indexing="ij")).reshape(3, -1).T
+    box_rows = center + signs * half  # centre, 6 faces, 12 edges, 8 corners
+    cyl_center, cyl_radius, cyl_half = _CYLINDER
+    cyl_center = np.asarray(cyl_center)
+    cylinder_rows = cyl_center + np.array([
+        [cyl_radius, 0.0, 0.0], [0.0, cyl_half, 0.0], [0.0, -cyl_half, 0.0],
+        [0.0, 0.0, -cyl_radius], [cyl_radius, cyl_half, 0.0],
+        [0.0, 0.0, 0.0], [2.0 * cyl_radius, 2.0 * cyl_half, 0.0],
+    ])
+    cap_a, cap_b, _ = _CAPSULE
+    capsule_rows = np.array([cap_a, cap_b, 0.5 * (np.asarray(cap_a) + cap_b)])
+    return np.concatenate([special, box_rows, cylinder_rows, capsule_rows])
+
+
+def assert_same_bits(expected: np.ndarray, actual: np.ndarray) -> None:
+    """Bit-identical float64 arrays; any NaN matches any NaN."""
+    assert expected.dtype == actual.dtype == np.float64
+    assert expected.shape == actual.shape
+    same = expected.view(np.int64) == actual.view(np.int64)
+    both_nan = np.isnan(expected) & np.isnan(actual)
+    mismatched = np.flatnonzero(~(same | both_nan))
+    assert mismatched.size == 0, (
+        f"{mismatched.size} rows differ, first {mismatched[:5].tolist()}: "
+        f"expected {expected[mismatched[:5]]}, got {actual[mismatched[:5]]}"
+    )
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, width=64)
+_ANY_POINTS = st.lists(
+    st.tuples(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT), min_size=1, max_size=40
+).map(lambda rows: np.array(rows, dtype=np.float64))
+
+
+class TestColumnWiseDifferential:
+    """Column-wise primitives equal the reduction-based formulas bit for bit."""
+
+    @pytest.mark.parametrize("name,primitive,reference,args", _DIFFERENTIAL_CASES,
+                             ids=[case[0] for case in _DIFFERENTIAL_CASES])
+    def test_adversarial_rows(self, name, primitive, reference, args):
+        points = _adversarial_points()
+        with np.errstate(all="ignore"):
+            expected = reference(points, *args)
+            actual = primitive(points, *args)
+        assert_same_bits(expected, actual)
+
+    @pytest.mark.parametrize("name,primitive,reference,args", _DIFFERENTIAL_CASES,
+                             ids=[case[0] for case in _DIFFERENTIAL_CASES])
+    def test_random_rows_and_layouts(self, name, primitive, reference, args):
+        """Many rows, at several scales, in C, Fortran and strided layouts."""
+        rng = np.random.default_rng(7)
+        base = rng.normal(size=(20000, 3)) * np.repeat([1e-3, 1.0, 1e3, 1e100], 5000)[:, None]
+        layouts = [base, np.asfortranarray(base),
+                   np.repeat(base[:1000], 2, axis=1)[:, ::2]]
+        for points in layouts:
+            with np.errstate(all="ignore"):
+                assert_same_bits(reference(points, *args), primitive(points, *args))
+
+    @given(points=_ANY_POINTS)
+    @settings(max_examples=60, deadline=None)
+    def test_hypothesis_points(self, points):
+        with np.errstate(all="ignore"):
+            for _, primitive, reference, args in _DIFFERENTIAL_CASES:
+                assert_same_bits(reference(points, *args), primitive(points, *args))
+
+    @given(points=_ANY_POINTS)
+    @settings(max_examples=60, deadline=None)
+    def test_norm_and_max_helpers(self, points):
+        with np.errstate(all="ignore"):
+            assert_same_bits(np.linalg.norm(points, axis=1), prim._norm3(points))
+            assert_same_bits(np.max(points, axis=1), prim._max3(points))
+
+    def test_helpers_on_adversarial_rows(self):
+        points = _adversarial_points()
+        with np.errstate(all="ignore"):
+            assert_same_bits(np.linalg.norm(points, axis=1), prim._norm3(points))
+            assert_same_bits(np.max(points, axis=1), prim._max3(points))
+
+
 class TestObjects:
     def test_library_contains_reference_objects(self):
         for name in REFERENCE_OBJECT_NAMES:
@@ -198,6 +353,16 @@ class TestSceneComposition:
         points = np.array([[-0.55, 0.0, 0.0], [0.55, 0.0, 0.0]])
         _, ids = two_object_scene.classify(points)
         assert ids.tolist() == [0, 1]
+
+    def test_classify_albedo_matches_separate_queries(self, two_object_scene):
+        points = np.random.default_rng(4).uniform(-1.2, 1.2, size=(500, 3))
+        ids, colors = two_object_scene.classify_albedo(points)
+        _, expected_ids = two_object_scene.classify(points)
+        expected_colors = two_object_scene.albedo(points)
+        assert set(ids.tolist()) == {0, 1}
+        assert ids.dtype == expected_ids.dtype
+        assert np.array_equal(ids, expected_ids)
+        assert colors.tobytes() == expected_colors.tobytes()
 
     def test_subset_preserves_placement(self, two_object_scene):
         subset = two_object_scene.subset([1])
