@@ -44,6 +44,7 @@ from repro.baking.baked_model import (
     bake_geometry,
     field_cache_identity,
 )
+from repro.baking.texture import LazyTexture, bake_texture_atlas
 from repro.core.config_space import Configuration, ConfigurationSpace
 from repro.core.profiler import ObjectProfile, ProfileFitter
 from repro.core.segmentation import DetailBasedSegmenter, SegmentationResult, SubScene
@@ -242,6 +243,12 @@ def _bake_geometry_task(task: tuple):
     return bake_geometry(task[1], task[2])
 
 
+def _bake_atlas_task(task: tuple):
+    """Materialise one lazy texture atlas from ``(radiance_fn, faces, p)``
+    (module-level for the same reason as :func:`_bake_geometry_task`)."""
+    return bake_texture_atlas(task[0], task[1], task[2])
+
+
 #: Static per-stage cost hints (relative units, scaled by object count) the
 #: DAG scheduler falls back to when the measured cost model has no fit for a
 #: stage.  Keys are the stage timer channels — the same labels
@@ -340,15 +347,25 @@ def evaluate_baked_deployment(
 
         cache = gt_cache if gt_cache is not None else {}
         cameras = object_evaluation_cameras(dataset, resolution=object_eval_resolution)
+        # The missing ground-truth close-ups march in one cross-view batch
+        # (one backend map instead of one per object); the engine cache
+        # keys are per camera, so they match single-view renders.
+        missing = [
+            name for name in cameras
+            if (dataset.name, name, object_eval_resolution) not in cache
+        ]
+        if missing:
+            references = engine.render_scene_views(
+                dataset.scene,
+                [cameras[name] for name in missing],
+                scene_key=(dataset.name, "scene-gt"),
+            )
+            for name, reference in zip(missing, references):
+                cache[(dataset.name, name, object_eval_resolution)] = reference
         for placed in dataset.scene.placed:
             name = placed.instance_name
             camera = cameras[name]
-            gt_key = (dataset.name, name, object_eval_resolution)
-            if gt_key not in cache:
-                cache[gt_key] = engine.render_scene(
-                    dataset.scene, camera, scene_key=(dataset.name, "scene-gt")
-                )
-            reference = cache[gt_key]
+            reference = cache[(dataset.name, name, object_eval_resolution)]
             # Only sub-models whose grid lies near the object can appear in
             # its close-up view; skipping the rest keeps evaluation cheap.
             target_center = 0.5 * (placed.bounds_min + placed.bounds_max)
@@ -494,13 +511,16 @@ class NeRFlexPipeline:
         through the execution backend; worker-side time is attributed to
         the ``"profiler"`` stage on ``timers``.
 
-        Sharding granularity follows the backend: in-process and fork-pool
-        backends parallelise each fit's *sample measurements* (the paper's
-        45-task fan-out), while an object-sharding backend
-        (``backend.shards_objects``, i.e. the cluster backend) is handed
-        whole objects — one profile fit per shard item, cost-weighted by
-        the measurements still missing and discounted for profiles already
-        in the shared on-disk store (see
+        Sharding granularity follows the backend.  In-process and fork-pool
+        backends get **one** map over every pending sub-scene's
+        ``(sub-scene, g)`` groups (see :meth:`_profile_grouped`): each task
+        voxelises once and measures every sampled patch size at that
+        granularity, and returns its geometry with the measurements, so
+        nothing a worker computed has to be recomputed by the bake stage.
+        An object-sharding backend (``backend.shards_objects``, i.e. the
+        cluster backend) is handed whole objects instead — one profile fit
+        per shard item, cost-weighted by the measurements still missing and
+        discounted for profiles already in the shared on-disk store (see
         :meth:`repro.exec.cluster.ClusterBackend.map`).  Both paths are
         pure per object and produce bit-identical profiles.
         """
@@ -525,7 +545,7 @@ class NeRFlexPipeline:
             if sharded:
                 fitted = self._profile_objects_sharded(dataset, pending, timers)
             else:
-                fitted = [self._fit_profile(dataset, entry, timers) for entry in pending]
+                fitted = self._profile_grouped(dataset, pending, timers)
             # In the sharded path the workers already persisted fresh fits
             # into the shared disk tier; the parent then only needs the
             # memory-tier put, not a second disk write of the same bytes.
@@ -540,10 +560,10 @@ class NeRFlexPipeline:
                 and backend_store.root == self.artifacts.disk.root
             )
             for (sub_scene, _, _, artifact_key), profile in zip(pending, fitted):
-                # Re-apply worker-side memoisation in this process: with the
-                # process and cluster backends the measure tasks ran in
-                # forked children, whose measurement_cache writes died with
-                # them.
+                # Re-apply worker-side memoisation in this process: in the
+                # sharded path the fits ran in forked children, whose
+                # measurement_cache writes died with them (the grouped path
+                # has already applied its results; setdefault keeps them).
                 for config, measurement in profile.measurements.items():
                     key = (
                         dataset.name,
@@ -612,27 +632,117 @@ class NeRFlexPipeline:
 
     # -- execution-layer plumbing ---------------------------------------------
 
-    def _stage_map(self, stage: str, timers: "StageTimer | None"):
-        """An ordered-map function over this pipeline's execution backend.
-
-        Worker-side task time is attributed to ``stage`` on ``timers``
-        (see :meth:`repro.utils.timing.StageTimer.add_worker`).
-        """
-
-        def mapper(fn, items):
-            return self.backend.map(fn, items, timer=timers, stage=stage)
-
-        return mapper
-
-    def _fit_profile(self, dataset, entry: tuple, timers: "StageTimer | None"):
-        """Fit one sub-scene's profile, fanning its sample measurements out."""
-        sub_scene, truth, field_model, _ = entry
-        measure = self._make_measure_fn(dataset, sub_scene, truth, field_model)
-        return ProfileFitter(self.config.config_space).fit(
-            sub_scene.name,
-            measure,
-            map_fn=self._stage_map("profiler", timers),
+    def _profile_views(self, dataset, sub_scene: SubScene, truth) -> tuple:
+        """``(cameras, ground_truths)`` of one sub-scene's profiler
+        measurements; the ground truths render once through the engine
+        cache."""
+        cameras = self._profile_cameras(truth)
+        ground_truths = self.engine.render_scene_views(
+            truth, cameras, scene_key=(dataset.name, sub_scene.name, "profile-gt")
         )
+        return cameras, ground_truths
+
+    def _score_sample(self, dataset, baked, views: tuple) -> tuple:
+        """One profiler measurement ``(quality, size_mb)`` of a baked sample."""
+        cameras, ground_truths = views
+        # No scene_key: each profiling sample is rendered exactly once (the
+        # measurement tuple is memoised by the caller), so caching these
+        # one-shot images would only churn the shared LRU and evict the
+        # ground-truth and deployment renders other figures reuse.
+        renders = self.engine.render_baked_views(
+            BakedMultiModel([baked]),
+            cameras,
+            background=dataset.scene.background_color,
+        )
+        scores = [
+            ssim(reference.rgb, rendered.rgb)
+            for reference, rendered in zip(ground_truths, renders)
+        ]
+        return float(np.mean(scores)), baked.size_mb()
+
+    def _profile_grouped(
+        self, dataset, pending: list, timers: "StageTimer | None"
+    ) -> list:
+        """Fit the pending profiles from one backend map over
+        ``(sub-scene, g)`` groups.
+
+        Ground truths of every pending sub-scene render first.  Each task
+        then voxelises one sub-scene at one granularity (or reuses the
+        geometry already in ``measurement_cache``) and measures every
+        missing sampled patch size on it; it returns the measurements and
+        the geometry, which the parent files into ``measurement_cache``
+        exactly as an inline run would have.  Groups go largest ``g``
+        first, so the most expensive tasks start earliest.  Each profile
+        is then fitted from the cache alone.
+        """
+        fitter = ProfileFitter(self.config.config_space)
+        patch_sizes_by_g: dict = {}
+        for config in fitter.config_space.profiling_configs():
+            patch_sizes_by_g.setdefault(config.granularity, []).append(config.patch_size)
+        views = [
+            self._profile_views(dataset, sub_scene, truth)
+            for sub_scene, truth, _, _ in pending
+        ]
+        groups = []
+        for granularity in sorted(patch_sizes_by_g, reverse=True):
+            for index, (sub_scene, _, _, _) in enumerate(pending):
+                missing = tuple(
+                    patch_size
+                    for patch_size in patch_sizes_by_g[granularity]
+                    if (dataset.name, sub_scene.name, granularity, patch_size)
+                    not in self.measurement_cache
+                )
+                if missing:
+                    groups.append((index, granularity, missing))
+
+        def measure_group(group: tuple) -> tuple:
+            index, granularity, patch_sizes = group
+            sub_scene, _, field_model, _ = pending[index]
+            geometry = self.measurement_cache.get(
+                self._geometry_key(dataset.name, sub_scene.name, field_model, granularity)
+            )
+            if geometry is None:
+                geometry = bake_geometry(field_model, granularity)
+            measurements = tuple(
+                self._score_sample(
+                    dataset,
+                    self._bake_one(
+                        field_model,
+                        sub_scene.name,
+                        Configuration(granularity, patch_size),
+                        geometry=geometry,
+                    ),
+                    views[index],
+                )
+                for patch_size in patch_sizes
+            )
+            return measurements, geometry
+
+        results = self.backend.map(
+            measure_group, groups, timer=timers, stage="profiler"
+        )
+        for (index, granularity, patch_sizes), (measurements, geometry) in zip(
+            groups, results
+        ):
+            sub_scene, _, field_model, _ = pending[index]
+            self.measurement_cache.setdefault(
+                self._geometry_key(dataset.name, sub_scene.name, field_model, granularity),
+                geometry,
+            )
+            for patch_size, measurement in zip(patch_sizes, measurements):
+                self.measurement_cache.setdefault(
+                    (dataset.name, sub_scene.name, granularity, patch_size), measurement
+                )
+
+        def cached(name: str):
+            return lambda config: self.measurement_cache[
+                (dataset.name, name, config.granularity, config.patch_size)
+            ]
+
+        return [
+            fitter.fit(sub_scene.name, cached(sub_scene.name))
+            for sub_scene, _, _, _ in pending
+        ]
 
     def _profile_cost(self, dataset, sub_scene: SubScene) -> float:
         """Estimated profiling work of one sub-scene, for shard planning.
@@ -799,10 +909,7 @@ class NeRFlexPipeline:
         texture knob) and shared across every ``(g, p)`` sample and across
         pipelines through ``measurement_cache``.
         """
-        cameras = self._profile_cameras(truth)
-        ground_truths = self.engine.render_scene_views(
-            truth, cameras, scene_key=(dataset.name, sub_scene.name, "profile-gt")
-        )
+        views = self._profile_views(dataset, sub_scene, truth)
 
         def measure(config: Configuration) -> tuple:
             key = (dataset.name, sub_scene.name, config.granularity, config.patch_size)
@@ -811,20 +918,7 @@ class NeRFlexPipeline:
             baked = self._bake_one(
                 field_model, sub_scene.name, config, dataset_name=dataset.name
             )
-            # No scene_key: each profiling sample is rendered exactly once
-            # (the measurement tuple is memoised above), so caching these
-            # one-shot images would only churn the shared LRU and evict the
-            # ground-truth and deployment renders other figures reuse.
-            renders = self.engine.render_baked_views(
-                BakedMultiModel([baked]),
-                cameras,
-                background=dataset.scene.background_color,
-            )
-            scores = [
-                ssim(reference.rgb, rendered.rgb)
-                for reference, rendered in zip(ground_truths, renders)
-            ]
-            result = (float(np.mean(scores)), baked.size_mb())
+            result = self._score_sample(dataset, baked, views)
             self.measurement_cache[key] = result
             return result
 
@@ -891,12 +985,17 @@ class NeRFlexPipeline:
     ) -> dict:
         """Stage 4 (initial pass): bake every sub-scene at its assignment.
 
-        Store-reused bakes return immediately; the misses voxelise their
-        geometry in parallel through the execution backend (geometry is the
-        dominant cost of a lazy-texture bake, and — unlike the baked model's
-        lazy texture, which closes over the field — its grid/face arrays are
-        plain data that pickles cheaply out of forked workers).  Texture
-        lookup objects are then assembled in-process.
+        Store-reused bakes return immediately.  Misses reuse the geometry
+        the profile stage filed into ``measurement_cache`` (its workers
+        return what they voxelise); any granularity the profiler did not
+        sample is voxelised in parallel through the execution backend (the
+        grid/face arrays are plain data that pickles cheaply out of forked
+        workers).  Texture lookup objects are then assembled in-process.
+        When the artifact store has a disk tier, which stores full texel
+        atlases, the lazy atlases of the fresh bakes are materialised
+        through one backend map before ``put``; the store then encodes
+        existing texels, and deploy samples the atlas, which is bit-identical
+        to lazy lookup.  Without one, textures stay lazy.
         """
         dataset_name = preparation.dataset_name
         sub_scenes = preparation.segmentation.sub_scenes
@@ -959,17 +1058,36 @@ class NeRFlexPipeline:
                 for (geometry_key, _, _), geometry in zip(tasks, computed):
                     self.measurement_cache[geometry_key] = geometry
                     geometries[geometry_key] = geometry
+            models = []
             for name, field_model, config in pending:
                 geometry_key = self._geometry_key(
                     dataset_name, name, field_model, config.granularity
                 )
-                model = self._bake_one(
+                models.append(self._bake_one(
                     field_model,
                     name,
                     config,
                     dataset_name=dataset_name,
                     geometry=geometries[geometry_key],
+                ))
+            if self.artifacts is not None and self.artifacts.disk is not None:
+                # The disk tier stores full atlases: materialise the lazy
+                # ones through the backend instead of serially at put.
+                lazy = [
+                    model for model in models if isinstance(model.texture, LazyTexture)
+                ]
+                atlases = self.backend.map(
+                    _bake_atlas_task,
+                    [
+                        (model.texture.radiance_fn, model.faces, model.patch_size)
+                        for model in lazy
+                    ],
+                    timer=timers,
+                    stage="bake",
                 )
+                for model, atlas in zip(lazy, atlases):
+                    model.texture = atlas
+            for (name, field_model, config), model in zip(pending, models):
                 if self.artifacts is not None:
                     self.artifacts.put(
                         self._baked_artifact_key(dataset_name, name, field_model, config),

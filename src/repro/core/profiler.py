@@ -312,26 +312,15 @@ class ProfileFitter:
         measure,
         config_space: "ConfigurationSpace | None" = None,
         extra_configs: "list | None" = None,
-        map_fn=None,
     ) -> ObjectProfile:
-        """Sample the profiling configurations and fit both models.
-
-        ``map_fn(fn, items)`` — an ordered map, defaulting to a serial loop
-        — executes the sample measurements; passing an execution backend's
-        map (see :mod:`repro.exec.backends`) runs the samples concurrently.
-        Measurements are keyed back to their configuration by position, so
-        any order-preserving map produces identical profiles.
-        """
+        """Sample the profiling configurations and fit both models."""
         space = config_space or self.config_space
         configs = list(space.profiling_configs())
         for config in extra_configs or []:
             if config not in configs:
                 configs.append(config)
 
-        if map_fn is None:
-            results = [measure(config) for config in configs]
-        else:
-            results = map_fn(measure, configs)
+        results = [measure(config) for config in configs]
         measurements = {
             config: (float(quality), float(size_mb))
             for config, (quality, size_mb) in zip(configs, results)

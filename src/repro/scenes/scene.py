@@ -118,7 +118,12 @@ class Scene:
 
     def albedo(self, points: np.ndarray) -> np.ndarray:
         """Colour of the closest object at each point."""
-        _, owner = self._nearest(points)
+        if len(self.placed) == 1:
+            # Argmin over a single row is 0 for every point, NaN rows
+            # included: the only possible owner needs no SDF pass.
+            owner = np.zeros(np.asarray(points).shape[0], dtype=np.intp)
+        else:
+            _, owner = self._nearest(points)
         return self._owner_albedo(points, owner)
 
     def _nearest(self, points: np.ndarray) -> tuple:

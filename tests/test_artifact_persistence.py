@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.baking.baked_model import SizeConstants, bake_field
+from repro.baking.texture import LazyTexture, TextureAtlas
 from repro.core.config_space import Configuration, ConfigurationSpace
 from repro.core.profiler import ProfileFitter
 from repro.exec import ArtifactStore, DiskArtifactStore, create_artifact_store
@@ -29,6 +30,7 @@ from repro.exec.persist import (
     key_digest,
     key_filename,
 )
+from repro.nerf.degradation import DegradedField
 from repro.render import RenderEngine
 from repro.scenes.cameras import orbit_cameras
 
@@ -117,6 +119,35 @@ class TestRoundTrip:
         v = rng.random(256)
         assert np.array_equal(
             loaded.texture.sample(faces, u, v), model.texture.sample(faces, u, v)
+        )
+
+    def test_degraded_joint_atlas_matches_lazy_lookup(self, two_object_scene):
+        """Deploy samples the atlas the bake stage materialises where it
+        used to sample the lazy texture: both must agree bit for bit.  The
+        field is a degraded joint sub-scene, so radiance goes through the
+        BLAS-backed geometry noise, floaters and the nearest-owner albedo;
+        lookups include u, v = 0, 1 and the exact texel boundaries k/p."""
+        field = DegradedField(two_object_scene, detail_scale=0.08, seed=3)
+        assert field.floater_rate > 0.0
+        patch_size = 3
+        lazy = bake_field(field, granularity=14, patch_size=patch_size, name="joint")
+        atlas = bake_field(
+            field, granularity=14, patch_size=patch_size, name="joint",
+            materialize_textures=True,
+        )
+        assert isinstance(lazy.texture, LazyTexture)
+        assert isinstance(atlas.texture, TextureAtlas)
+        coords = np.concatenate([
+            np.arange(patch_size + 1) / patch_size,
+            (np.arange(patch_size) + 0.5) / patch_size,
+            [np.nextafter(1.0 / patch_size, 0.0), np.nextafter(1.0 / patch_size, 1.0)],
+        ])
+        u, v = (grid.ravel() for grid in np.meshgrid(coords, coords, indexing="ij"))
+        faces = np.repeat(np.arange(lazy.num_faces), u.size)
+        u = np.tile(u, lazy.num_faces)
+        v = np.tile(v, lazy.num_faces)
+        assert np.array_equal(
+            atlas.texture.sample(faces, u, v), lazy.texture.sample(faces, u, v)
         )
 
     def test_reloaded_lazy_bake_renders_bit_identically(self, tmp_path, two_object_scene):

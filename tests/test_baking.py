@@ -203,7 +203,7 @@ class TestTextures:
         v = np.linspace(0.95, 0.05, len(faces))
         lazy_colors = baked_lazy.texture.sample(faces, u, v)
         full_colors = baked_full.texture.sample(faces, u, v)
-        assert np.allclose(lazy_colors, full_colors, atol=1e-9)
+        assert np.array_equal(lazy_colors, full_colors)
 
     def test_invalid_patch_size(self, sphere):
         grid = voxelize_field(sphere, resolution=8)

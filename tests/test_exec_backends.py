@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.baking.texture import TextureAtlas
 from repro.config import env as repro_env
 from repro.core.pipeline import NeRFlexPipeline, PipelineConfig
 from repro.core.config_space import ConfigurationSpace
@@ -20,6 +21,7 @@ from repro.exec import (
     ArtifactStore,
     BACKENDS,
     ClusterBackend,
+    DiskArtifactStore,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
@@ -321,6 +323,22 @@ def tiny_pipeline_config(backend_name):
     )
 
 
+def assert_runs_match(run, reference):
+    """Two pipeline runs agree bit for bit on every output the report and
+    the preparation carry."""
+    preparation, multi_model, report = run
+    ref_preparation, ref_model, ref_report = reference
+    assert [p.state_tuple() for p in preparation.profiles] == [
+        p.state_tuple() for p in ref_preparation.profiles
+    ]
+    assert preparation.selection.assignments == ref_preparation.selection.assignments
+    assert multi_model.size_mb() == pytest.approx(ref_model.size_mb(), abs=0.0)
+    assert report.per_object_size_mb == ref_report.per_object_size_mb
+    assert report.ssim == ref_report.ssim
+    assert report.psnr == ref_report.psnr
+    assert report.per_object_ssim == ref_report.per_object_ssim
+
+
 class TestPipelineBackendParity:
     @pytest.fixture(scope="class")
     def serial_run(self, small_dataset):
@@ -337,13 +355,27 @@ class TestPipelineBackendParity:
             config,
             backend=ProcessBackend(workers=2) if backend_name == "process" else None,
         )
-        preparation, multi_model, report = pipeline.run(small_dataset)
-        ref_preparation, ref_model, ref_report = serial_run
-        assert preparation.selection.assignments == ref_preparation.selection.assignments
-        assert multi_model.size_mb() == pytest.approx(ref_model.size_mb(), abs=0.0)
-        assert report.ssim == ref_report.ssim
-        assert report.psnr == ref_report.psnr
-        assert report.backend_name == backend_name
+        run = pipeline.run(small_dataset)
+        assert_runs_match(run, serial_run)
+        assert run[2].backend_name == backend_name
+
+    @pytest.mark.parametrize("backend_name", ["serial", "process"])
+    def test_run_with_disk_store_matches_serial(
+        self, small_dataset, serial_run, backend_name, tmp_path
+    ):
+        """A disk-backed store makes the bake stage materialise texel
+        atlases (in the workers, on the process backend); deploy then
+        samples atlases instead of lazy textures, with identical output."""
+        backend = ProcessBackend(workers=2) if backend_name == "process" else None
+        pipeline = NeRFlexPipeline(
+            TINY_DEVICE,
+            tiny_pipeline_config(backend_name),
+            artifacts=ArtifactStore(disk=DiskArtifactStore(str(tmp_path))),
+            backend=backend,
+        )
+        run = pipeline.run(small_dataset)
+        assert all(isinstance(m.texture, TextureAtlas) for m in run[1].submodels)
+        assert_runs_match(run, serial_run)
 
     def test_report_records_stage_and_worker_timings(self, small_dataset, serial_run):
         _, _, report = serial_run
@@ -352,6 +384,69 @@ class TestPipelineBackendParity:
         # Profiler measurements ran through the backend, so worker-side time
         # was attributed to the owning stage instead of being dropped.
         assert report.worker_seconds.get("profiler", 0.0) > 0.0
+
+
+class RecordingProcessBackend(ProcessBackend):
+    """A process backend that records ``(task name, stage, items)`` of every
+    map it is handed."""
+
+    def __init__(self, workers: int) -> None:
+        super().__init__(workers=workers)
+        self.maps = []
+
+    def map(self, fn, items, timer=None, stage=None) -> list:
+        items = list(items)
+        self.maps.append((getattr(fn, "__name__", ""), stage, items))
+        return super().map(fn, items, timer=timer, stage=stage)
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork")
+class TestProcessPoolKeepsWork:
+    """Nothing a worker daemon computes is computed again by the parent."""
+
+    def test_profile_geometry_and_atlases_come_back(self, small_dataset, tmp_path):
+        backend = RecordingProcessBackend(workers=2)
+        config = tiny_pipeline_config("process")
+        pipeline = NeRFlexPipeline(
+            TINY_DEVICE,
+            config,
+            artifacts=ArtifactStore(disk=DiskArtifactStore(str(tmp_path))),
+            backend=backend,
+        )
+        preparation = pipeline.prepare(small_dataset)
+        sub_scenes = preparation.segmentation.sub_scenes
+        assert len(sub_scenes) >= 2
+
+        # One profile map covers every pending sub-scene.
+        profile_maps = [m for m in backend.maps if m[1] == "profiler"]
+        assert len(profile_maps) == 1
+        profiled = config.config_space.profiling_granularities()
+        _, _, groups = profile_maps[0]
+        assert len(groups) == len(sub_scenes) * len(profiled)
+
+        # The geometry the workers voxelised is in the parent's cache.
+        for sub_scene in sub_scenes:
+            for granularity in profiled:
+                key = pipeline._geometry_key(
+                    small_dataset.name,
+                    sub_scene.name,
+                    preparation.fields[sub_scene.name],
+                    granularity,
+                )
+                assert key in pipeline.measurement_cache
+
+        backend.maps.clear()
+        multi_model = pipeline.bake(preparation)
+        revoxelised = [
+            item[2]
+            for name, _, items in backend.maps
+            if name == "_bake_geometry_task"
+            for item in items
+        ]
+        assert not set(revoxelised) & set(profiled)
+        # Store-bound atlases were materialised by one backend map.
+        assert [name for name, _, _ in backend.maps].count("_bake_atlas_task") == 1
+        assert all(isinstance(m.texture, TextureAtlas) for m in multi_model.submodels)
 
 
 class TestPipelineArtifacts:

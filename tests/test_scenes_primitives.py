@@ -364,6 +364,30 @@ class TestSceneComposition:
         assert np.array_equal(ids, expected_ids)
         assert colors.tobytes() == expected_colors.tobytes()
 
+    def test_one_object_albedo_skips_the_owner_pass(self, two_object_scene, monkeypatch):
+        """A one-object scene's albedo equals the nearest-owner reference
+        bit for bit (NaN and infinite rows included) without evaluating
+        the SDF."""
+        single = two_object_scene.subset([1])
+        points = np.random.default_rng(5).uniform(-1.2, 1.2, size=(300, 3))
+        points[:3] = [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.55, 0.0, 0.0]]
+        with np.errstate(invalid="ignore"):  # NaN/inf rows cast to texel cells
+            _, owner = single._nearest(points)
+            expected = single._owner_albedo(points, owner)
+        calls = []
+        original_sdf = PlacedObject.sdf
+
+        def counting_sdf(placed, query):
+            calls.append(len(query))
+            return original_sdf(placed, query)
+
+        monkeypatch.setattr(PlacedObject, "sdf", counting_sdf)
+        with np.errstate(invalid="ignore"):
+            colors = single.albedo(points)
+        assert calls == []
+        assert colors.dtype == expected.dtype
+        assert colors.tobytes() == expected.tobytes()
+
     def test_subset_preserves_placement(self, two_object_scene):
         subset = two_object_scene.subset([1])
         assert subset.instance_names == ["cube"]
