@@ -7,6 +7,10 @@ installed (the CI kernel leg).  The uncompiled ``loops`` backend is
 deliberately not benchmarked: it exists as the parity-testing vehicle for
 machines without numba, not as a path anyone deploys.
 
+It also times SDF evaluation, which is numpy code outside the kernel
+registry: ``Scene.sdf`` points/sec on simulated scene 4 and on the
+real-world room scene (``scene_sdf:scene4`` / ``scene_sdf:realworld``).
+
 Per-backend throughput (rays/sec or samples/sec) is published into the
 session trajectory — run with ``REPRO_BENCH_SUITE=kernels`` to emit
 ``BENCH_kernels.json`` with a ``metrics.kernels`` section — so the
@@ -26,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro.render.kernels import KERNELS, NUMBA_AVAILABLE, get_kernels, warm_up
+from repro.scenes.library import make_realworld_scene, make_simulated_scene
 
 #: Backends benchmarked in this environment (see module docstring for why
 #: ``loops`` is excluded).
@@ -232,3 +237,32 @@ class TestSphereKernels:
             bench_metrics, "sphere_trace_loop", backend, seconds,
             num_rays, "rays/sec",
         ) > 0
+
+
+class TestSceneSdf:
+    """``Scene.sdf`` throughput on the benchmark's two scenes."""
+
+    @pytest.mark.parametrize(
+        "name,make_scene",
+        [("scene4", lambda: make_simulated_scene(4)),
+         ("realworld", lambda: make_realworld_scene(seed=0))],
+        ids=["scene4", "realworld"],
+    )
+    def test_sdf_throughput(self, name, make_scene, bench_metrics):
+        scene = make_scene()
+        # C-ordered points spread over the scene bounds, as the sphere
+        # tracer and the voxeliser hand them over.
+        points = np.random.default_rng(45).uniform(
+            scene.bounds_min, scene.bounds_max, size=(65536, 3)
+        )
+        assert np.isfinite(scene.sdf(points)).all()
+        seconds = best_seconds(lambda: scene.sdf(points), repeats=3)
+        throughput = points.shape[0] / seconds
+        bench_metrics.setdefault("kernels", {})[f"scene_sdf:{name}"] = {
+            "objects": len(scene),
+            "best_seconds": round(seconds, 6),
+            "items": points.shape[0],
+            "unit": "points/sec",
+            "throughput": round(throughput, 1),
+        }
+        assert throughput > 0

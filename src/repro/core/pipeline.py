@@ -642,23 +642,29 @@ class NeRFlexPipeline:
         )
         return cameras, ground_truths
 
-    def _score_sample(self, dataset, baked, views: tuple) -> tuple:
-        """One profiler measurement ``(quality, size_mb)`` of a baked sample."""
+    def _score_samples(self, dataset, bakes: list, views: tuple) -> tuple:
+        """Profiler measurements ``(quality, size_mb)``, one per bake.
+
+        ``bakes`` share one geometry (one sub-scene at one granularity), so
+        their views come from a single march that samples every texture on
+        the same hits (:meth:`RenderEngine.render_baked_sweep`).
+        """
         cameras, ground_truths = views
-        # No scene_key: each profiling sample is rendered exactly once (the
-        # measurement tuple is memoised by the caller), so caching these
+        # Uncached: each profiling sample is rendered exactly once (the
+        # measurement tuples are memoised by the caller), so caching these
         # one-shot images would only churn the shared LRU and evict the
         # ground-truth and deployment renders other figures reuse.
-        renders = self.engine.render_baked_views(
-            BakedMultiModel([baked]),
-            cameras,
-            background=dataset.scene.background_color,
+        sweep = self.engine.render_baked_sweep(
+            bakes, cameras, background=dataset.scene.background_color
         )
-        scores = [
-            ssim(reference.rgb, rendered.rgb)
-            for reference, rendered in zip(ground_truths, renders)
-        ]
-        return float(np.mean(scores)), baked.size_mb()
+        measurements = []
+        for baked, renders in zip(bakes, sweep):
+            scores = [
+                ssim(reference.rgb, rendered.rgb)
+                for reference, rendered in zip(ground_truths, renders)
+            ]
+            measurements.append((float(np.mean(scores)), baked.size_mb()))
+        return tuple(measurements)
 
     def _profile_grouped(
         self, dataset, pending: list, timers: "StageTimer | None"
@@ -668,12 +674,14 @@ class NeRFlexPipeline:
 
         Ground truths of every pending sub-scene render first.  Each task
         then voxelises one sub-scene at one granularity (or reuses the
-        geometry already in ``measurement_cache``) and measures every
-        missing sampled patch size on it; it returns the measurements and
-        the geometry, which the parent files into ``measurement_cache``
-        exactly as an inline run would have.  Groups go largest ``g``
-        first, so the most expensive tasks start earliest.  Each profile
-        is then fitted from the cache alone.
+        geometry already in ``measurement_cache``), bakes every missing
+        sampled patch size on it and scores them from one march of their
+        shared geometry, sampling each patch size's texture on the same
+        hits (see :meth:`_score_samples`).  It returns the measurements
+        and the geometry, which the parent files into
+        ``measurement_cache`` exactly as an inline run would have.  Groups
+        go largest ``g`` first, so the most expensive tasks start
+        earliest.  Each profile is then fitted from the cache alone.
         """
         fitter = ProfileFitter(self.config.config_space)
         patch_sizes_by_g: dict = {}
@@ -703,20 +711,16 @@ class NeRFlexPipeline:
             )
             if geometry is None:
                 geometry = bake_geometry(field_model, granularity)
-            measurements = tuple(
-                self._score_sample(
-                    dataset,
-                    self._bake_one(
-                        field_model,
-                        sub_scene.name,
-                        Configuration(granularity, patch_size),
-                        geometry=geometry,
-                    ),
-                    views[index],
+            bakes = [
+                self._bake_one(
+                    field_model,
+                    sub_scene.name,
+                    Configuration(granularity, patch_size),
+                    geometry=geometry,
                 )
                 for patch_size in patch_sizes
-            )
-            return measurements, geometry
+            ]
+            return self._score_samples(dataset, bakes, views[index]), geometry
 
         results = self.backend.map(
             measure_group, groups, timer=timers, stage="profiler"
@@ -918,7 +922,7 @@ class NeRFlexPipeline:
             baked = self._bake_one(
                 field_model, sub_scene.name, config, dataset_name=dataset.name
             )
-            result = self._score_sample(dataset, baked, views)
+            (result,) = self._score_samples(dataset, [baked], views)
             self.measurement_cache[key] = result
             return result
 

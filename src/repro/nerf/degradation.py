@@ -78,7 +78,8 @@ def coverage_detail_scale(
 
 def _hash01(cells: np.ndarray, salt: float) -> np.ndarray:
     """Deterministic pseudo-random values in [0, 1) per integer cell."""
-    cells = np.asarray(cells, dtype=np.float64)
+    # BLAS matvecs return layout-dependent bits: always multiply C-ordered.
+    cells = np.ascontiguousarray(cells, dtype=np.float64)
     dots = cells @ np.array([127.1, 311.7, 74.7]) + salt * 53.7
     return np.modf(np.abs(np.sin(dots) * 43758.5453123))[0]
 
@@ -183,6 +184,9 @@ class DegradedField:
         """Smooth pseudo-random field with values roughly in [-1, 1]."""
         value = np.zeros(points.shape[0])
         wavenumber = 2.0 * np.pi / self.noise_wavelength
+        # C-ordered, like the probes of estimate_normals: BLAS matvecs
+        # return layout-dependent bits.
+        points = np.ascontiguousarray(points)
         for direction, phase in zip(self._noise_dirs, self._noise_phases):
             value += np.sin(wavenumber * (points @ direction) + phase)
         return value / len(self._noise_phases)

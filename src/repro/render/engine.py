@@ -734,10 +734,19 @@ class RenderEngine:
         origins: np.ndarray,
         directions: np.ndarray,
         step_scale: float,
+        textures: "tuple | None" = None,
     ) -> tuple:
-        """First-hit occupancy-grid marching of one baked sub-model."""
+        """First-hit occupancy-grid marching of one baked sub-model.
+
+        Returns ``(colors, depths, hits)`` with one ``(N, 3)`` colour array
+        per texture in ``textures`` (default: the model's own).  The march
+        depends only on the grid and faces, so textures baked on the same
+        geometry are all sampled on the hits of this one march.
+        """
+        if textures is None:
+            textures = (model.texture,)
         num_rays = origins.shape[0]
-        colors = np.zeros((num_rays, 3))
+        colors = [np.zeros((num_rays, 3)) for _ in textures]
         depths = np.full(num_rays, np.inf)
         hits = np.zeros(num_rays, dtype=bool)
 
@@ -767,7 +776,7 @@ class RenderEngine:
             # any backend.  The march itself — slab march, voxel entry, face
             # lookup — is a kernel (exact parity tier: every backend returns
             # bit-identical hits); texture sampling stays here with the
-            # model object.
+            # texture objects.
             kernels = get_kernels(kernel_name)
             ray_ids = candidates[start : start + self.chunk_rays]
             hit_rows, face_indices, u, v, t_entry = kernels.march_occupancy(
@@ -787,7 +796,7 @@ class RenderEngine:
             )
             if hit_rows.size == 0:
                 return None
-            sampled = model.texture.sample(face_indices, u, v)
+            sampled = [texture.sample(face_indices, u, v) for texture in textures]
             return ray_ids[hit_rows], sampled, t_entry
 
         chunk_results = self._map_chunks(
@@ -799,7 +808,8 @@ class RenderEngine:
             if result is None:
                 continue
             global_rows, sampled, t_entry = result
-            colors[global_rows] = sampled
+            for layer, layer_samples in zip(colors, sampled):
+                layer[global_rows] = layer_samples
             depths[global_rows] = t_entry
             hits[global_rows] = True
         return colors, depths, hits
@@ -813,25 +823,15 @@ class RenderEngine:
         step_scale: float = 0.5,
     ) -> dict:
         """Flat-ray rendering of a baked multi-model (depth compositing)."""
-        num_rays = origins.shape[0]
-        background = np.asarray(background, dtype=np.float64)
-        best_colors = np.tile(background, (num_rays, 1))
-        best_depths = np.full(num_rays, np.inf)
-        best_ids = np.full(num_rays, -1, dtype=int)
-        for submodel_index, submodel in enumerate(multi.submodels):
-            colors, depths, hits = self._march_baked_single(
-                submodel, origins, directions, step_scale=step_scale
-            )
-            closer = hits & (depths < best_depths)
-            best_colors[closer] = colors[closer]
-            best_depths[closer] = depths[closer]
-            best_ids[closer] = submodel_index
-        return {
-            "rgb": best_colors,
-            "depth": best_depths,
-            "object_ids": best_ids,
-            "hit": best_ids >= 0,
-        }
+
+        def layers():
+            for submodel in multi.submodels:
+                colors, depths, hits = self._march_baked_single(
+                    submodel, origins, directions, step_scale=step_scale
+                )
+                yield colors[0], depths, hits
+
+        return _composite_layers(layers(), origins.shape[0], background)
 
     def render_baked_views(
         self,
@@ -843,9 +843,12 @@ class RenderEngine:
     ) -> list:
         """Render several views of a baked multi-model in one ray batch."""
         multi = _as_multi_model(multi)
+        # The fingerprint samples lazy texels, so it is only built when the
+        # cache will read the key.
+        keyed = self.cache is not None and scene_key is not None
         quality_key = (
             "baked",
-            baked_fingerprint(multi),
+            baked_fingerprint(multi) if keyed else None,
             tuple(np.asarray(background, dtype=np.float64).tolist()),
             step_scale,
         )
@@ -871,6 +874,51 @@ class RenderEngine:
     def render_baked(self, multi, camera: Camera, **kwargs) -> RenderResult:
         """Render one view of a baked model (see :meth:`render_baked_views`)."""
         return self.render_baked_views(multi, [camera], **kwargs)[0]
+
+    def render_baked_sweep(
+        self,
+        models,
+        cameras,
+        background=(1.0, 1.0, 1.0),
+        step_scale: float = 0.5,
+    ) -> list:
+        """Views of several bakes of one geometry, from a single march.
+
+        ``models`` are sub-models sharing one grid and face set (bakes of
+        one field at one granularity that differ only in texture, as the
+        profiler's patch-size sweep produces).  The rays march once and
+        every texture is sampled on the same hits.  Entry ``i`` is the list
+        of views of ``models[i]``, bit-identical to
+        ``render_baked_views(models[i], cameras, ...)`` without a cache.
+        """
+        models = list(models)
+        geometry = models[0]
+        if any(
+            model.grid is not geometry.grid or model.faces is not geometry.faces
+            for model in models
+        ):
+            raise ValueError("render_baked_sweep: models must share one grid and face set")
+        cameras = list(cameras)
+        origins, directions, slices = _stack_camera_rays(cameras)
+        colors, depths, hits = self._march_baked_single(
+            geometry,
+            origins,
+            directions,
+            step_scale=step_scale,
+            textures=tuple(model.texture for model in models),
+        )
+        views = []
+        for layer_colors in colors:
+            buffers = _composite_layers(
+                [(layer_colors, depths, hits)], origins.shape[0], background
+            )
+            views.append(
+                [
+                    _assemble_result(buffers, view_slice, camera)
+                    for camera, view_slice in zip(cameras, slices)
+                ]
+            )
+        return views
 
     # -- generic dispatch ----------------------------------------------------
 
@@ -919,6 +967,27 @@ def _as_multi_model(multi):
     if isinstance(multi, list):
         return BakedMultiModel(multi)
     return BakedMultiModel([multi])
+
+
+def _composite_layers(layers, num_rays: int, background) -> dict:
+    """Depth-composite ``(colors, depths, hits)`` layers over a background
+    into flat ``rgb`` / ``depth`` / ``object_ids`` / ``hit`` buffers; the
+    object id of a ray is the index of its nearest hit layer."""
+    background = np.asarray(background, dtype=np.float64)
+    best_colors = np.tile(background, (num_rays, 1))
+    best_depths = np.full(num_rays, np.inf)
+    best_ids = np.full(num_rays, -1, dtype=int)
+    for index, (colors, depths, hits) in enumerate(layers):
+        closer = hits & (depths < best_depths)
+        best_colors[closer] = colors[closer]
+        best_depths[closer] = depths[closer]
+        best_ids[closer] = index
+    return {
+        "rgb": best_colors,
+        "depth": best_depths,
+        "object_ids": best_ids,
+        "hit": best_ids >= 0,
+    }
 
 
 def _assemble_result(buffers: dict, view_slice: slice, camera: Camera) -> RenderResult:

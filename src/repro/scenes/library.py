@@ -111,7 +111,12 @@ def make_realworld_scene(seed: int = 0, num_objects: int = 4) -> Scene:
         raise ValueError("num_objects must be at least 1")
     rng = make_rng(seed)
     pool = list(REFERENCE_OBJECT_NAMES)
-    chosen = list(rng.choice(pool, size=min(num_objects, len(pool)), replace=False))
+    # ``rng.choice`` yields ``np.str_``; names are plain ``str`` everywhere
+    # else (sub-scene names, selection keys, names read back from disk).
+    chosen = [
+        str(name)
+        for name in rng.choice(pool, size=min(num_objects, len(pool)), replace=False)
+    ]
 
     half_width, half_depth, height = 2.4, 1.4, 2.4
     backdrop = PlacedObject(

@@ -59,9 +59,17 @@ def estimate_normals(field, points: np.ndarray, epsilon: float = 1e-3) -> np.nda
     points = np.asarray(points, dtype=np.float64)
     normals = np.zeros_like(points)
     for axis in range(3):
-        offset = np.zeros(3)
-        offset[axis] = epsilon
-        normals[:, axis] = field.sdf(points + offset) - field.sdf(points - offset)
+        # The probes ``points ± epsilon * e_axis`` are written column by
+        # column: the other columns get ``± 0.0`` exactly as a broadcast of
+        # the offset vector would (so signed zeros match), and the probes
+        # stay C-ordered.
+        plus = np.empty(points.shape)
+        minus = np.empty(points.shape)
+        for column in range(3):
+            step = float(epsilon) if column == axis else 0.0
+            np.add(points[:, column], step, out=plus[:, column])
+            np.subtract(points[:, column], step, out=minus[:, column])
+        normals[:, axis] = field.sdf(plus) - field.sdf(minus)
     norms = _norm3(normals)
     norms[norms == 0] = 1.0
     return normals / norms[:, None]

@@ -55,7 +55,21 @@ class PlacedObject:
             self.instance_name = self.obj.name
 
     def _to_local(self, points: np.ndarray) -> np.ndarray:
-        return (np.asarray(points, dtype=np.float64) - self.translation) / self.scale
+        """Object-local ``(points - translation) / scale``, column-major.
+
+        Each column is contiguous, so the objects' ``points ± vector``
+        expressions and the primitives' per-axis arithmetic run one long
+        inner loop per column instead of a length-3 loop per row.
+        """
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"expected (N, 3) points, got shape {points.shape}")
+        local = np.empty(points.shape, order="F")
+        for axis in range(3):
+            column = local[:, axis]
+            np.subtract(points[:, axis], self.translation[axis], out=column)
+            column /= self.scale
+        return local
 
     @property
     def sdf_lipschitz(self) -> float:

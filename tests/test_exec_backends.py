@@ -449,6 +449,35 @@ class TestProcessPoolKeepsWork:
         assert all(isinstance(m.texture, TextureAtlas) for m in multi_model.submodels)
 
 
+class TestProfileMarchesEachGeometryOnce:
+    """The patch sizes of one ``(sub-scene, g)`` share grid, faces and
+    rays, so the profile stage marches each profiled geometry once."""
+
+    def test_one_march_per_profiled_geometry(self, small_dataset, monkeypatch):
+        marched = []
+        original = RenderEngine._march_baked_single
+
+        def counting(engine, model, *args, **kwargs):
+            marched.append((model.name, int(model.granularity)))
+            return original(engine, model, *args, **kwargs)
+
+        monkeypatch.setattr(RenderEngine, "_march_baked_single", counting)
+        config = tiny_pipeline_config("serial")
+        assert len(config.config_space.profiling_configs()) > len(
+            config.config_space.profiling_granularities()
+        )  # several patch sizes per granularity
+        pipeline = NeRFlexPipeline(TINY_DEVICE, config)
+        segmentation = pipeline.stage_segment(small_dataset)
+        _, _, profiles = pipeline.stage_profile(small_dataset, segmentation)
+        assert len(profiles) == len(segmentation.sub_scenes) >= 2
+        expected = [
+            (sub_scene.name, granularity)
+            for sub_scene in segmentation.sub_scenes
+            for granularity in config.config_space.profiling_granularities()
+        ]
+        assert sorted(marched) == sorted(expected)
+
+
 class TestPipelineArtifacts:
     def test_profiles_and_bakes_reused_across_devices(self, small_dataset):
         store = ArtifactStore()

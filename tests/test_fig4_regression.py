@@ -136,3 +136,19 @@ class TestFig4DetailRegion:
         assert sum(report.per_object_size_mb.values()) == pytest.approx(model.size_mb())
         for name, config in preparation.selection.assignments.items():
             assert isinstance(config, Configuration)
+
+    def test_names_are_plain_str(self, fig4_small):
+        """Placed names, sub-scene names and selection keys are exactly
+        ``str`` (``rng.choice`` yields ``np.str_``, which names read back
+        from disk are not)."""
+        scene, _, preparation, model, report = fig4_small
+        names = (
+            list(scene.instance_names)
+            + [sub.name for sub in preparation.segmentation.sub_scenes]
+            + list(preparation.selection.assignments)
+            + [profile.name for profile in preparation.profiles]
+            + [submodel.name for submodel in model.submodels]
+            + list(report.per_object_size_mb)
+        )
+        assert len(names) > 6
+        assert {type(name) for name in names} == {str}

@@ -22,7 +22,7 @@ from repro.nerf import (
 from repro.nerf.rendering import composite_gradients
 from repro.metrics import ssim
 from repro.scenes.cameras import orbit_cameras
-from repro.scenes.library import make_single_object_scene
+from repro.scenes.library import make_simulated_scene, make_single_object_scene
 from repro.scenes.raytrace import render_scene
 
 
@@ -290,6 +290,19 @@ class TestDegradation:
         assert np.array_equal(a, b)
         c = DegradedField(scene, 0.03, seed=8).sdf(points)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("floater_rate", [0.0, 0.1], ids=["clean", "floaters"])
+    def test_sdf_bits_do_not_depend_on_memory_layout(self, floater_rate):
+        """The noise and floater hashes are BLAS matvecs, whose bits depend
+        on the operand layout; the field multiplies C-ordered operands."""
+        scene = make_simulated_scene(4)
+        degraded = DegradedField(scene, 0.03, floater_rate=floater_rate, seed=3)
+        points = np.random.default_rng(1).uniform(
+            scene.bounds_min, scene.bounds_max, size=(20000, 3)
+        )
+        expected = degraded.sdf(points)
+        for layout in (np.asfortranarray(points), np.repeat(points, 2, axis=0)[::2]):
+            assert degraded.sdf(layout).tobytes() == expected.tobytes()
 
     def test_albedo_quantisation_removes_fine_detail(self):
         scene = make_single_object_scene("lego")

@@ -7,10 +7,13 @@ render paths for every representation, regardless of cross-view batching,
 chunk size or worker count — plus the cache's hit/miss accounting.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.baking.baked_model import BakedMultiModel, bake_field
+from repro.baking.baked_model import BakedMultiModel, bake_field, bake_geometry
+from repro.baking.texture import LazyTexture
 from repro.baking.renderer import render_baked, render_baked_multi
 from repro.nerf.degradation import DegradedField
 from repro.nerf.rendering import volume_render_field
@@ -158,6 +161,116 @@ class TestBatchingInvariance:
             DegradedField(two_object_scene, 0.02, seed=0), origins, directions
         )
         assert set(np.unique(field_buffers["object_ids"])) <= {-1, 0}
+
+
+def assert_bitwise(a, b):
+    """Two RenderResults agree on every buffer, bit for bit."""
+    for name in ("rgb", "depth", "object_ids", "hit_mask"):
+        left, right = getattr(a, name), getattr(b, name)
+        assert left.dtype == right.dtype and left.shape == right.shape, name
+        assert left.tobytes() == right.tobytes(), name
+
+
+class _EmptyField:
+    """A field with no surface: it bakes to zero faces."""
+
+    bounds_min = np.full(3, -0.5)
+    bounds_max = np.full(3, 0.5)
+    sdf_lipschitz = 1.0
+
+    def sdf(self, points):
+        return np.ones(len(points))
+
+    def albedo(self, points):
+        return np.zeros((len(points), 3))
+
+
+class TestBakedSweep:
+    """One march per geometry: each texture's views equal a render of that
+    bake alone."""
+
+    @pytest.fixture(scope="class")
+    def degraded(self, two_object_scene):
+        return DegradedField(two_object_scene, 0.04, seed=2)
+
+    @pytest.mark.parametrize("materialize", [False, True], ids=["lazy", "atlas"])
+    def test_sweep_matches_single_bake_renders(self, degraded, cameras, materialize):
+        geometry = bake_geometry(degraded, 14)
+        bakes = [
+            bake_field(degraded, 14, p, name="joint", geometry=geometry,
+                       materialize_textures=materialize)
+            for p in (1, 2, 4)
+        ]
+        engine = RenderEngine(chunk_rays=700)  # several chunks per march
+        sweep = engine.render_baked_sweep(bakes, cameras, background=(0.2, 0.3, 0.4))
+        assert len(sweep) == len(bakes)
+        for baked, views in zip(bakes, sweep):
+            alone = engine.render_baked_views(baked, cameras, background=(0.2, 0.3, 0.4))
+            assert len(views) == len(cameras)
+            assert any(view.hit_mask.any() for view in views)
+            for swept, single in zip(views, alone):
+                assert_bitwise(single, swept)
+
+    def test_zero_face_bake(self, cameras):
+        field = _EmptyField()
+        geometry = bake_geometry(field, 8)
+        bakes = [bake_field(field, 8, p, geometry=geometry) for p in (1, 2)]
+        assert bakes[0].num_faces == 0
+        engine = RenderEngine()
+        for baked, views in zip(bakes, engine.render_baked_sweep(bakes, cameras)):
+            for swept, single in zip(views, engine.render_baked_views(baked, cameras)):
+                assert not swept.hit_mask.any()
+                assert_bitwise(single, swept)
+
+    def test_bakes_must_share_geometry(self, baked_models, cameras):
+        with pytest.raises(ValueError, match="share one grid"):
+            RenderEngine().render_baked_sweep(baked_models.submodels, cameras)
+
+
+class TestBakedCacheKeyLaziness:
+    """The baked cache key samples lazy texels, so it is built only when a
+    cache will read it."""
+
+    @staticmethod
+    def counting_bake(two_object_scene):
+        baked = bake_field(two_object_scene.placed[0], 12, 2, name="sphere")
+        calls = []
+        radiance_fn = baked.texture.radiance_fn
+
+        def counting(points):
+            calls.append(len(points))
+            return radiance_fn(points)
+
+        texture = LazyTexture(patch_size=2, faces=baked.faces, radiance_fn=counting)
+        return dataclasses.replace(baked, texture=texture), calls
+
+    def test_uncached_render_evaluates_only_hit_texels(self, two_object_scene):
+        baked, calls = self.counting_bake(two_object_scene)
+        # Looking up, away from the scene: no ray hits, so no texel is needed.
+        away = orbit_cameras(np.array([0.0, 50.0, 0.0]), radius=1.0, count=1,
+                             elevation_deg=-30.0, width=16, height=16)
+        views = RenderEngine().render_baked_views(baked, away, scene_key="away")
+        assert not views[0].hit_mask.any()
+        assert calls == []
+
+        # A hitting view evaluates at most one texel per hit ray.
+        toward = orbit_cameras(two_object_scene.placed[0].translation, radius=1.2,
+                               count=1, width=16, height=16)
+        views = RenderEngine().render_baked_views(baked, toward)
+        hits = int(views[0].hit_mask.sum())
+        assert 0 < sum(calls) <= hits
+
+    def test_cached_render_builds_the_key(self, two_object_scene):
+        baked, calls = self.counting_bake(two_object_scene)
+        away = orbit_cameras(np.array([0.0, 50.0, 0.0]), radius=1.0, count=1,
+                             elevation_deg=-30.0, width=16, height=16)
+        engine = RenderEngine(cache=RenderCache())
+        engine.render_baked_views(baked, away, scene_key="away")
+        assert sum(calls) > 0  # the key's texture probe
+        probe = sum(calls)
+        engine.render_baked_views(baked, away, scene_key="away")
+        assert engine.cache.stats.hits == 1
+        assert sum(calls) == 2 * probe  # a hit rebuilds the key, renders nothing
 
 
 class TestRenderCache:

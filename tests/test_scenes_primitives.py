@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scenes import primitives as prim
+from repro.scenes.library import make_realworld_scene
 from repro.scenes.objects import (
     OBJECT_LIBRARY,
     REFERENCE_OBJECT_NAMES,
@@ -226,14 +227,20 @@ class TestColumnWiseDifferential:
     @pytest.mark.parametrize("name,primitive,reference,args", _DIFFERENTIAL_CASES,
                              ids=[case[0] for case in _DIFFERENTIAL_CASES])
     def test_random_rows_and_layouts(self, name, primitive, reference, args):
-        """Many rows, at several scales, in C, Fortran and strided layouts."""
+        """Many rows, at several scales, in C, Fortran and strided layouts.
+
+        Every layout must give the reference's bits on the C-ordered copy:
+        the capsule's projection is a BLAS matvec, whose bits depend on the
+        operand layout, so the primitive always multiplies C-ordered.
+        """
         rng = np.random.default_rng(7)
         base = rng.normal(size=(20000, 3)) * np.repeat([1e-3, 1.0, 1e3, 1e100], 5000)[:, None]
         layouts = [base, np.asfortranarray(base),
                    np.repeat(base[:1000], 2, axis=1)[:, ::2]]
         for points in layouts:
             with np.errstate(all="ignore"):
-                assert_same_bits(reference(points, *args), primitive(points, *args))
+                expected = reference(np.ascontiguousarray(points), *args)
+                assert_same_bits(expected, primitive(points, *args))
 
     @given(points=_ANY_POINTS)
     @settings(max_examples=60, deadline=None)
@@ -247,13 +254,85 @@ class TestColumnWiseDifferential:
     def test_norm_and_max_helpers(self, points):
         with np.errstate(all="ignore"):
             assert_same_bits(np.linalg.norm(points, axis=1), prim._norm3(points))
-            assert_same_bits(np.max(points, axis=1), prim._max3(points))
+            columns = [points[:, axis].copy() for axis in range(3)]
+            assert_same_bits(np.max(points, axis=1), prim._max_columns(columns))
+            assert_same_bits(np.linalg.norm(points, axis=1), prim._hypot_inplace(columns))
 
     def test_helpers_on_adversarial_rows(self):
         points = _adversarial_points()
         with np.errstate(all="ignore"):
             assert_same_bits(np.linalg.norm(points, axis=1), prim._norm3(points))
-            assert_same_bits(np.max(points, axis=1), prim._max3(points))
+            columns = [points[:, axis].copy() for axis in range(3)]
+            assert_same_bits(np.max(points, axis=1), prim._max_columns(columns))
+            assert_same_bits(np.linalg.norm(points, axis=1), prim._hypot_inplace(columns))
+
+
+def _reference_torus(points, center, major_radius, minor_radius):
+    points = points - np.asarray(center, dtype=np.float64)
+    ring = np.sqrt(points[:, 0] ** 2 + points[:, 2] ** 2) - float(major_radius)
+    return np.sqrt(ring**2 + points[:, 1] ** 2) - float(minor_radius)
+
+
+def _reference_repeat_xz(points, period):
+    points = np.asarray(points, dtype=np.float64).copy()
+    for axis in (0, 2):
+        points[:, axis] = np.mod(points[:, axis] + 0.5 * period, period) - 0.5 * period
+    return points
+
+
+#: Row-wise (``(N, 3) - (3,)``) versions of every primitive the objects call.
+_ROW_WISE_PRIMITIVES = {
+    "sdf_sphere": _reference_sphere,
+    "sdf_box": _reference_box,
+    "sdf_rounded_box": _reference_rounded_box,
+    "sdf_cylinder": _reference_cylinder,
+    "sdf_capsule": _reference_capsule,
+    "sdf_torus": _reference_torus,
+    "repeat_xz": _reference_repeat_xz,
+}
+
+
+def _placed_library():
+    """Every library object plus the real-world room backdrop, placed off
+    the origin at a non-unit scale."""
+    placed = [
+        PlacedObject(make_object(name), translation=np.array([0.3, -0.2, 0.45]), scale=0.8)
+        for name in list_objects()
+    ]
+    backdrop = make_realworld_scene(seed=0).by_name("backdrop")
+    placed.append(PlacedObject(backdrop.obj, translation=np.array([0.1, 0.05, -0.2]), scale=1.3))
+    return placed
+
+
+class TestObjectLayoutDifferential:
+    """``PlacedObject.sdf``/``albedo`` equal the row-wise formulas over
+    ``(points - t) / s`` bit for bit, whatever the input layout."""
+
+    @pytest.mark.parametrize("placed", _placed_library(), ids=lambda p: p.obj.name)
+    def test_every_layout_matches_the_row_wise_formulas(self, placed, monkeypatch):
+        rng = np.random.default_rng(11)
+        lo = placed.bounds_min - 0.1 * (placed.bounds_max - placed.bounds_min)
+        hi = placed.bounds_max + 0.1 * (placed.bounds_max - placed.bounds_min)
+        points = rng.uniform(lo, hi, size=(6000, 3))
+        points[:40] = placed.translation  # local origin: exact zeros
+        points[40:60, 1] = -0.0
+
+        local = (points - placed.translation) / placed.scale
+        for name, reference in _ROW_WISE_PRIMITIVES.items():
+            monkeypatch.setattr(prim, name, reference)
+        expected_sdf = placed.obj.sdf(local) * placed.scale
+        expected_albedo = placed.obj.albedo(local)
+        monkeypatch.undo()
+
+        for query in (points, np.asfortranarray(points), np.repeat(points, 2, axis=0)[::2]):
+            assert_same_bits(expected_sdf, placed.sdf(query))
+            assert_same_bits(expected_albedo.ravel(), placed.albedo(query).ravel())
+
+    def test_local_points_are_column_major(self):
+        placed = PlacedObject(make_object("cube"), translation=np.array([1.0, 2.0, 3.0]))
+        local = placed._to_local(np.ones((5, 3)))
+        assert local.flags.f_contiguous
+        np.testing.assert_array_equal(local, np.ones((5, 3)) - placed.translation)
 
 
 class TestObjects:

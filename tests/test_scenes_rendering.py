@@ -16,7 +16,7 @@ from repro.scenes.library import (
     make_simulated_scene,
     make_single_object_scene,
 )
-from repro.scenes.raytrace import render_field, render_scene
+from repro.scenes.raytrace import estimate_normals, render_field, render_scene
 
 
 class TestCamera:
@@ -117,6 +117,34 @@ class TestRayTracing:
         assert abs(scene_view.hit_mask.mean() - field_view.hit_mask.mean()) < 0.02
 
 
+class TestNormalProbes:
+    def test_probes_equal_the_broadcast_offsets(self):
+        """The column-wise probes are ``points ± epsilon * e_axis`` bit for
+        bit (``-0.0 + 0.0`` is ``+0.0``, ``-0.0 - 0.0`` stays ``-0.0``) and
+        stay C-ordered for the matvecs of degraded fields."""
+        probes = []
+
+        class RecordingField:
+            def sdf(self, points):
+                probes.append(points)
+                return points[:, 0] + 2.0 * points[:, 1] + 3.0 * points[:, 2]
+
+        special = [0.0, -0.0, 1.5, -2.25, np.inf, 1e-310]
+        points = np.array(np.meshgrid(special, special, special, indexing="ij")).reshape(3, -1).T
+        for layout in (np.ascontiguousarray(points), points):  # C and Fortran
+            probes.clear()
+            with np.errstate(invalid="ignore"):  # inf - inf in the difference
+                estimate_normals(RecordingField(), layout, epsilon=1e-3)
+            assert len(probes) == 6
+            for axis in range(3):
+                offset = np.zeros(3)
+                offset[axis] = 1e-3
+                plus, minus = probes[2 * axis], probes[2 * axis + 1]
+                assert plus.flags.c_contiguous and minus.flags.c_contiguous
+                assert plus.tobytes() == np.ascontiguousarray(points + offset).tobytes()
+                assert minus.tobytes() == np.ascontiguousarray(points - offset).tobytes()
+
+
 class TestDatasets:
     def test_dataset_shapes(self, small_dataset):
         assert small_dataset.num_train == 4
@@ -182,6 +210,11 @@ class TestSceneLibrary:
         scene = make_realworld_scene(seed=0)
         assert "backdrop" in scene.instance_names
         assert len(scene) >= 4
+
+    def test_realworld_instance_names_are_plain_str(self):
+        for seed in range(4):
+            names = make_realworld_scene(seed=seed).instance_names
+            assert {type(name) for name in names} == {str}
 
     def test_realworld_scene_invalid_count(self):
         with pytest.raises(ValueError):
