@@ -734,17 +734,15 @@ class RenderEngine:
         origins: np.ndarray,
         directions: np.ndarray,
         step_scale: float,
-        textures: "tuple | None" = None,
+        textures: tuple,
     ) -> tuple:
         """First-hit occupancy-grid marching of one baked sub-model.
 
         Returns ``(colors, depths, hits)`` with one ``(N, 3)`` colour array
-        per texture in ``textures`` (default: the model's own).  The march
-        depends only on the grid and faces, so textures baked on the same
-        geometry are all sampled on the hits of this one march.
+        per texture in ``textures``.  The march depends only on the grid and
+        faces, so textures baked on the same geometry are all sampled on the
+        hits of this one march.
         """
-        if textures is None:
-            textures = (model.texture,)
         num_rays = origins.shape[0]
         colors = [np.zeros((num_rays, 3)) for _ in textures]
         depths = np.full(num_rays, np.inf)
@@ -827,7 +825,11 @@ class RenderEngine:
         def layers():
             for submodel in multi.submodels:
                 colors, depths, hits = self._march_baked_single(
-                    submodel, origins, directions, step_scale=step_scale
+                    submodel,
+                    origins,
+                    directions,
+                    step_scale=step_scale,
+                    textures=(submodel.texture,),
                 )
                 yield colors[0], depths, hits
 
@@ -880,7 +882,6 @@ class RenderEngine:
         models,
         cameras,
         background=(1.0, 1.0, 1.0),
-        step_scale: float = 0.5,
     ) -> list:
         """Views of several bakes of one geometry, from a single march.
 
@@ -889,7 +890,8 @@ class RenderEngine:
         profiler's patch-size sweep produces).  The rays march once and
         every texture is sampled on the same hits.  Entry ``i`` is the list
         of views of ``models[i]``, bit-identical to
-        ``render_baked_views(models[i], cameras, ...)`` without a cache.
+        ``render_baked_views(models[i], cameras, background)`` (default step
+        scale, no cache).
         """
         models = list(models)
         geometry = models[0]
@@ -904,7 +906,7 @@ class RenderEngine:
             geometry,
             origins,
             directions,
-            step_scale=step_scale,
+            step_scale=0.5,
             textures=tuple(model.texture for model in models),
         )
         views = []

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.scenes.objects import SceneObject, make_object
+from repro.scenes.primitives import _as_points
 from repro.utils.rng import make_rng
 
 
@@ -61,9 +62,7 @@ class PlacedObject:
         expressions and the primitives' per-axis arithmetic run one long
         inner loop per column instead of a length-3 loop per row.
         """
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise ValueError(f"expected (N, 3) points, got shape {points.shape}")
+        points = _as_points(points)
         local = np.empty(points.shape, order="F")
         for axis in range(3):
             column = local[:, axis]

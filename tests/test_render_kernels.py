@@ -659,7 +659,9 @@ class TestBakedCostHints:
         spy = CostSpyBackend()
         chunk_rays = max(candidates // 3, 1)  # force several chunks
         engine = RenderEngine(kernel="numpy", chunk_rays=chunk_rays, backend=spy)
-        engine._march_baked_single(model, origins, directions, step_scale=0.5)
+        engine._march_baked_single(
+            model, origins, directions, step_scale=0.5, textures=(model.texture,)
+        )
         assert spy.cost_lists, "no cost hints reached the backend"
         costs = spy.cost_lists[0]
         assert sum(costs) == pytest.approx(candidates)
